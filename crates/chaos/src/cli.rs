@@ -19,7 +19,7 @@ use crate::plan::ChaosIntensity;
 use crate::replay::replay_chaos;
 use crate::runner::run_chaos;
 use crate::scenario::{load_scenario, save_scenario, ChaosScenario};
-use dagsfc_serve::{serve, Client, ServeConfig};
+use dagsfc_serve::{spawn_batched, BatchConfig, Client};
 use dagsfc_sim::{Algo, LifecycleConfig, SimConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -172,15 +172,15 @@ fn run_main(flags: &Flags) -> Result<(), String> {
         .str("scenario")
         .ok_or("chaos run requires --scenario FILE".to_string())?;
     let scenario = load_scenario(&PathBuf::from(path)).map_err(|e| e.to_string())?;
-    let cfg = ServeConfig {
-        workers: flags.usize_or("workers", 2)?.max(1),
+    let cfg = BatchConfig {
+        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
         queue_capacity: flags.usize_or("queue", 64)?,
         algo: scenario.trace.algo,
         reclaim_on_disconnect: false,
     };
     let net = scenario.network();
-    let handle =
-        serve::spawn(net.clone(), cfg, "127.0.0.1:0").map_err(|e| format!("spawn server: {e}"))?;
+    let handle = spawn_batched(net.clone(), 1, cfg, "127.0.0.1:0")
+        .map_err(|e| format!("spawn server: {e}"))?;
     let addr = handle.addr();
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
     let report = replay_chaos(&mut client, addr, &scenario).map_err(|e| e.to_string())?;

@@ -4,7 +4,7 @@
 //! worker-pool size, and must never serve an uncertified embedding.
 
 use dagsfc_chaos::{replay_chaos, run_chaos, ChaosIntensity, ChaosScenario};
-use dagsfc_serve::{serve, Client, ServeConfig};
+use dagsfc_serve::{spawn_batched, BatchConfig, Client};
 use dagsfc_sim::{Algo, LifecycleConfig, SimConfig};
 
 fn scenario() -> ChaosScenario {
@@ -39,11 +39,12 @@ fn daemon_chaos_replay_matches_runner_for_any_worker_count() {
     assert_eq!(truth.audits_failed, 0);
 
     for workers in [1usize, 4] {
-        let handle = serve::spawn(
+        let handle = spawn_batched(
             net.clone(),
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
+            1,
+            BatchConfig {
+                workers_per_shard: workers,
+                ..BatchConfig::default()
             },
             "127.0.0.1:0",
         )
@@ -89,11 +90,12 @@ fn two_daemon_runs_print_identical_final_state() {
     let net = s.network();
     let mut finals = Vec::new();
     for workers in [1usize, 3] {
-        let handle = serve::spawn(
+        let handle = spawn_batched(
             net.clone(),
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
+            1,
+            BatchConfig {
+                workers_per_shard: workers,
+                ..BatchConfig::default()
             },
             "127.0.0.1:0",
         )

@@ -1,17 +1,13 @@
-//! The event-driven batched server: one front-end poll thread, request
-//! batching, and per-shard worker pools over a [`ShardedEngine`].
+//! The daemon: one front-end poll thread, request batching, and
+//! per-shard worker pools over a [`ShardedEngine`].
 //!
-//! ## Why not thread-per-connection?
-//!
-//! The original daemon ([`crate::server`]) spawns one handler thread
-//! per connection; every request takes the engine lock at least once
-//! for admission, and under hundreds of connections the daemon spends
-//! its time context-switching and lock-bouncing rather than serving.
-//! This server inverts the model:
+//! ## Threading model
 //!
 //! * a single **front-end thread** polls every connection with
 //!   non-blocking reads, tolerating partial lines (bytes accumulate in
-//!   a per-connection buffer until a `\n` completes a request);
+//!   a per-connection buffer until a `\n` completes a request; a line
+//!   longer than [`MAX_LINE_BYTES`] gets a typed error and its
+//!   connection is closed);
 //! * all requests that arrived in one poll pass form a **batch**:
 //!   admission prechecks for the whole batch run under *one* engine
 //!   lock acquisition, and the residual-view refresh is warmed once and
@@ -21,8 +17,11 @@
 //!   shard's bounded queue, where that shard's **worker pool** serves
 //!   them;
 //! * replies flow back through per-connection ordered queues, so a
-//!   client that pipelines N requests gets N replies in request order —
-//!   the same wire contract as the thread-per-connection daemon.
+//!   client that pipelines N requests gets N replies in request order.
+//!
+//! Shutdown (flag or `shutdown` command) stops admission, drains every
+//! queued job to its reply, keeps all committed leases on the books,
+//! and returns the final [`StatsReport`].
 //!
 //! ## Determinism
 //!
@@ -42,27 +41,30 @@
 
 use crate::protocol::{
     fault_event_from_wire, parse_algo, ShardLane, StatsReport, WireRequest, WireResponse,
+    MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
-use crate::server::{hello_response, lock_recover, preset_chain, ServerHandle, TicketGate};
 use dagsfc_core::solvers::precheck;
-use dagsfc_core::{DagSfc, Flow};
+use dagsfc_core::{DagSfc, Flow, VnfCatalog};
 use dagsfc_net::{FaultEvent, Network, PathOracle};
+use dagsfc_nfp::transform::TransformOptions;
 use dagsfc_shard::{RoutePolicy, ShardPlan, ShardRouter, ShardedEngine, StitchId};
 use dagsfc_sim::Algo;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Batched-server configuration.
+/// Locks `m`, recovering the data if a previous holder panicked — one
+/// crashed worker must not wedge the whole daemon.
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Region shards to partition the substrate into (1 = unsharded;
-    /// the 1-shard configuration is bit-for-bit identical to the
-    /// thread-per-connection daemon).
-    pub shards: usize,
     /// Worker threads per shard pool (≥ 1; results are identical for
     /// any value by construction).
     pub workers_per_shard: usize,
@@ -71,20 +73,77 @@ pub struct BatchConfig {
     pub queue_capacity: usize,
     /// Default algorithm when a request names none.
     pub algo: Algo,
-    /// Reclaim a connection's leases when it disconnects (see
-    /// [`crate::ServeConfig::reclaim_on_disconnect`]).
+    /// When a connection drops (EOF), automatically enqueue a reclaim
+    /// of every lease that connection still owns. Off by default: the
+    /// one-shot CLI client opens a fresh connection per operation,
+    /// which would make every normal workflow self-destruct.
     pub reclaim_on_disconnect: bool,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            shards: 1,
             workers_per_shard: 2,
             queue_capacity: 64,
             algo: Algo::Mbbe,
             reclaim_on_disconnect: false,
         }
+    }
+}
+
+/// Serializes job completion in ticket order across every shard pool:
+/// a worker may hold job *n+1* solved-ready, but commits only after *n*
+/// has been served.
+struct TicketGate {
+    next: Mutex<u64>,
+    turn: Condvar,
+}
+
+impl TicketGate {
+    fn new() -> Self {
+        TicketGate {
+            next: Mutex::new(0),
+            turn: Condvar::new(),
+        }
+    }
+
+    fn wait_for(&self, ticket: u64) {
+        let mut next = lock_recover(&self.next);
+        while *next != ticket {
+            next = self.turn.wait(next).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn advance(&self) {
+        *lock_recover(&self.next) += 1;
+        self.turn.notify_all();
+    }
+}
+
+/// A running daemon with an owned network, for tests and the CLI.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<StatsReport>,
+}
+
+impl ServerHandle {
+    /// The bound address (use with `Client::connect`).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Raises the shutdown flag without waiting.
+    pub fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// Raises the shutdown flag and waits for the drain, returning the
+    /// final stats report.
+    pub fn join(self) -> StatsReport {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // lint:allow(expect) — the daemon thread panicked; there is no report to return
+        self.thread.join().expect("server thread")
     }
 }
 
@@ -109,9 +168,9 @@ struct Ticketed {
     reply: mpsc::Sender<WireResponse>,
 }
 
-/// One shard's bounded FIFO queue. Unlike the legacy queue, tickets are
-/// assigned by the (single-threaded) front end, not at enqueue — the
-/// queue only carries them.
+/// One shard's bounded FIFO queue. Tickets are assigned by the
+/// (single-threaded) front end, not at enqueue — the queue only carries
+/// them.
 struct ShardQueue {
     inner: Mutex<(VecDeque<Ticketed>, bool)>,
     ready: Condvar,
@@ -180,8 +239,9 @@ struct Conn {
     buf: Vec<u8>,
     /// Replies owed, in request order (pipelining support).
     pending: VecDeque<Pending>,
-    /// Read side finished (EOF, IO error, or a served `shutdown`/`bye`);
-    /// the connection is dropped once `pending` drains.
+    /// Read side finished (EOF, IO error, an over-long line, or a
+    /// served `shutdown`/`bye`); the connection is dropped once
+    /// `pending` drains.
     closed: bool,
 }
 
@@ -306,17 +366,21 @@ fn poll_loop(listener: &TcpListener, cfg: &BatchConfig, shared: &SharedBatch<'_>
         // Read every connection; collect the complete lines that
         // arrived this pass — they are the batch.
         let mut batch: Vec<(usize, String)> = Vec::new();
+        let mut oversized: Vec<usize> = Vec::new();
         for (idx, conn) in conns.iter_mut().enumerate() {
             if conn.closed {
                 continue;
             }
-            loop {
+            // Once the buffer holds more than a maximal line, the rest
+            // waits in the socket for the next pass: the buffer stays
+            // bounded whatever the client sends.
+            while conn.buf.len() <= MAX_LINE_BYTES {
                 match conn.stream.read(&mut scratch) {
                     Ok(0) => {
                         conn.closed = true;
                         if cfg.reclaim_on_disconnect && !shared.shutdown.load(Ordering::SeqCst) {
-                            // Fire-and-forget, like the legacy server: the
-                            // reply channel is dropped unread.
+                            // Fire-and-forget: the reply channel is
+                            // dropped unread.
                             let (tx, _rx) = mpsc::channel();
                             let owner = conn.owner;
                             enqueue_reclaim(owner, &mut next_ticket, tx, shared);
@@ -334,9 +398,20 @@ fn poll_loop(listener: &TcpListener, cfg: &BatchConfig, shared: &SharedBatch<'_>
                     }
                 }
             }
-            while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-                batch.push((idx, String::from_utf8_lossy(&line).into_owned()));
+            // Cut the complete lines with a cursor and drain the consumed
+            // prefix once; draining per line would shift the buffered
+            // bytes once per line, quadratic in what a client pipelines.
+            let mut start = 0;
+            while let Some(len) = conn.buf[start..].iter().position(|&b| b == b'\n') {
+                let line = &conn.buf[start..start + len];
+                batch.push((idx, String::from_utf8_lossy(line).into_owned()));
+                start += len + 1;
+            }
+            conn.buf.drain(..start);
+            if conn.buf.len() > MAX_LINE_BYTES {
+                conn.buf = Vec::new();
+                conn.closed = true;
+                oversized.push(idx);
             }
         }
 
@@ -354,6 +429,16 @@ fn poll_loop(listener: &TcpListener, cfg: &BatchConfig, shared: &SharedBatch<'_>
                 let pending = admit(&line, owner, &mut engine, &mut next_ticket, shared);
                 conns[idx].pending.push_back(pending);
             }
+        }
+        // After the connection's complete lines, so replies keep request
+        // order.
+        for idx in oversized {
+            progressed = true;
+            conns[idx]
+                .pending
+                .push_back(Pending::Ready(WireResponse::error(format!(
+                    "request line exceeds {MAX_LINE_BYTES} bytes"
+                ))));
         }
 
         // Flush replies in request order; drop drained dead connections.
@@ -591,11 +676,11 @@ fn admit(
     }
 }
 
-/// The embed admission path — the exact checks of the legacy server
-/// (`precheck` against the **base** network, oracle reachability,
-/// bounded-queue backpressure), then a ticket into the home shard's
-/// queue. Prechecking against the base network (never the residual) is
-/// what keeps admission outcomes independent of batch composition.
+/// The embed admission path — `precheck` against the **base** network,
+/// oracle reachability, bounded-queue backpressure — then a ticket into
+/// the home shard's queue. Prechecking against the base network (never
+/// the residual) is what keeps admission outcomes independent of batch
+/// composition.
 #[allow(clippy::too_many_arguments)]
 fn admit_embed(
     sfc: DagSfc,
@@ -763,9 +848,7 @@ fn shard_worker_loop(queue: &ShardQueue, shared: &SharedBatch<'_>) {
     }
 }
 
-/// Maps the sharded engine's counters into the wire-level report. Field
-/// semantics match [`crate::engine::Engine::stats`] exactly in the
-/// 1-shard case.
+/// Maps the sharded engine's counters into the wire-level report.
 fn stats_report(
     engine: &ShardedEngine<'_>,
     queues: &[ShardQueue],
@@ -839,5 +922,42 @@ fn stats_report(
                 },
             })
             .collect(),
+    }
+}
+
+/// Builds the chain for a named `nfp` preset. A bad preset name or a
+/// sparse catalog is a protocol-level error, never a panic
+/// (`nfp::PresetError` is ordinary).
+fn preset_chain(name: &str, max_width: Option<usize>) -> Result<DagSfc, String> {
+    let hybrid = dagsfc_nfp::hybrid_preset(name, TransformOptions { max_width })
+        .map_err(|e| e.to_string())?;
+    let catalog = VnfCatalog::new(dagsfc_nfp::enterprise_catalog().len() as u16);
+    DagSfc::from_hybrid(&hybrid, catalog).map_err(|e| format!("preset chain invalid: {e}"))
+}
+
+/// Answers a `hello` handshake: `ok` (echoing the daemon's version and
+/// the connection's owner id) on a version match, a `"protocol
+/// mismatch"` error naming both versions otherwise — the fail-fast path
+/// versioned clients rely on.
+fn hello_response(client_proto: Option<u32>, owner: u64) -> WireResponse {
+    match client_proto {
+        Some(v) if v == PROTOCOL_VERSION => WireResponse {
+            status: "ok".into(),
+            owner: Some(owner),
+            proto: Some(PROTOCOL_VERSION),
+            ..WireResponse::default()
+        },
+        Some(v) => WireResponse {
+            proto: Some(PROTOCOL_VERSION),
+            ..WireResponse::error(format!(
+                "protocol mismatch: client speaks v{v}, daemon speaks v{PROTOCOL_VERSION}"
+            ))
+        },
+        None => WireResponse {
+            proto: Some(PROTOCOL_VERSION),
+            ..WireResponse::error(format!(
+                "protocol mismatch: hello carried no version (daemon speaks v{PROTOCOL_VERSION})"
+            ))
+        },
     }
 }

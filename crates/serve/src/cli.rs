@@ -2,11 +2,10 @@
 //! the root `dagsfc` CLI's `serve`/`client`/`trace`/`replay`
 //! subcommands — one implementation, two front doors.
 
-use crate::batch::{self, BatchConfig};
+use crate::batch::{run_batched, spawn_batched, BatchConfig};
 use crate::client::{Client, EmbedReply};
 use crate::protocol::parse_algo;
 use crate::replay::replay;
-use crate::server::{self, ServeConfig};
 use dagsfc_net::LeaseId;
 use dagsfc_sim::runner::instance_network;
 use dagsfc_sim::{
@@ -33,7 +32,7 @@ impl Flags {
             if let Some(key) = a.strip_prefix("--") {
                 match key {
                     // boolean flags
-                    "verify" | "reclaim-on-disconnect" | "batch" | "legacy" => {
+                    "verify" | "reclaim-on-disconnect" => {
                         map.insert(key.to_string(), "true".to_string());
                     }
                     _ => {
@@ -112,26 +111,15 @@ fn sim_config(flags: &Flags) -> Result<SimConfig, String> {
     })
 }
 
-fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
-    Ok(ServeConfig {
-        workers: flags.usize_or("workers", 2)?.max(1),
-        queue_capacity: flags.usize_or("queue", 64)?,
-        algo: flags.algo_or("algo", Algo::Mbbe)?,
-        reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
-    })
-}
-
 /// `dagsfc-serve` / `dagsfc serve`: run the daemon until a client sends
 /// `shutdown` (or the process is killed).
 ///
-/// Serves through the event-driven batched front end by default
-/// (`--shards N` partitions the substrate into N region shards;
-/// `--workers` sizes each shard's pool). `--legacy` selects the
-/// original thread-per-connection server.
+/// `--shards N` partitions the substrate into N region shards;
+/// `--workers` sizes each shard's pool.
 ///
 /// ```text
 /// dagsfc-serve [--addr 127.0.0.1:4600] [--workers 2] [--queue 64] [--algo mbbe]
-///              [--shards 1] [--legacy]
+///              [--shards 1] [--reclaim-on-disconnect]
 ///              [--network FILE | --nodes N --seed S --capacity C ...]
 /// ```
 pub fn daemon_main(args: &[String]) -> Result<(), String> {
@@ -145,21 +133,15 @@ pub fn daemon_main(args: &[String]) -> Result<(), String> {
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     // Parsed by scripts (and the CI smoke job): keep this line stable.
     println!("dagsfc-serve listening on {local}");
-    let report = if flags.has("legacy") {
-        let cfg = serve_config(&flags)?;
-        server::run(&net, &cfg, listener, Arc::new(AtomicBool::new(false)))
-    } else {
-        let shards = flags.usize_or("shards", 1)?.max(1);
-        let plan = dagsfc_shard::ShardPlan::partition(&net, shards).map_err(|e| e.to_string())?;
-        let cfg = BatchConfig {
-            shards,
-            workers_per_shard: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: flags.algo_or("algo", Algo::Mbbe)?,
-            reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
-        };
-        batch::run_batched(&net, plan, &cfg, listener, Arc::new(AtomicBool::new(false)))
+    let shards = flags.usize_or("shards", 1)?.max(1);
+    let plan = dagsfc_shard::ShardPlan::partition(&net, shards).map_err(|e| e.to_string())?;
+    let cfg = BatchConfig {
+        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
+        queue_capacity: flags.usize_or("queue", 64)?,
+        algo: flags.algo_or("algo", Algo::Mbbe)?,
+        reclaim_on_disconnect: flags.has("reclaim-on-disconnect"),
     };
+    let report = run_batched(&net, plan, &cfg, listener, Arc::new(AtomicBool::new(false)));
     println!(
         "{}",
         serde_json::to_string(&report).map_err(|e| e.to_string())?
@@ -299,15 +281,14 @@ pub fn client_main(args: &[String]) -> Result<(), String> {
 /// in-process daemon, replay the trace through a real socket, and
 /// verify the outcome against the in-process simulation.
 ///
-/// `--batch` routes the replay through the event-driven batched front
-/// end; `--shards N` (implies `--batch`) partitions the substrate into
-/// N region shards with gateway stitching. The final stats are checked
-/// in-process: `audits_failed` must be zero, and a multi-shard replay
-/// must actually exercise cross-shard stitching.
+/// `--shards N` partitions the substrate into N region shards with
+/// gateway stitching. The final stats are checked in-process:
+/// `audits_failed` must be zero, and a multi-shard replay must actually
+/// exercise cross-shard stitching.
 ///
 /// ```text
 /// dagsfc replay --trace FILE [--workers 2] [--queue 64] [--verify]
-///               [--batch] [--shards N]
+///               [--shards N]
 /// ```
 pub fn replay_main(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
@@ -316,27 +297,14 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
         .ok_or("replay requires --trace FILE".to_string())?;
     let trace = sim_io::load_trace(&PathBuf::from(path)).map_err(|e| e.to_string())?;
     let shards = flags.usize_or("shards", 1)?.max(1);
-    let batched = flags.has("batch") || flags.has("shards");
-    let net = instance_network(&trace.base);
-    let handle = if batched {
-        let cfg = BatchConfig {
-            shards,
-            workers_per_shard: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: trace.algo,
-            reclaim_on_disconnect: false,
-        };
-        batch::spawn_batched(net, shards, cfg, "127.0.0.1:0")
-            .map_err(|e| format!("spawn batched server: {e}"))?
-    } else {
-        let cfg = ServeConfig {
-            workers: flags.usize_or("workers", 2)?.max(1),
-            queue_capacity: flags.usize_or("queue", 64)?,
-            algo: trace.algo,
-            reclaim_on_disconnect: false,
-        };
-        server::spawn(net, cfg, "127.0.0.1:0").map_err(|e| format!("spawn server: {e}"))?
+    let cfg = BatchConfig {
+        workers_per_shard: flags.usize_or("workers", 2)?.max(1),
+        queue_capacity: flags.usize_or("queue", 64)?,
+        algo: trace.algo,
+        reclaim_on_disconnect: false,
     };
+    let handle = spawn_batched(instance_network(&trace.base), shards, cfg, "127.0.0.1:0")
+        .map_err(|e| format!("spawn server: {e}"))?;
     let mut client = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
     let report = replay(&mut client, &trace).map_err(|e| e.to_string())?;
     drop(client);
@@ -357,25 +325,23 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
         final_stats.solver_cache_misses,
         final_stats.released
     );
-    if batched {
-        println!(
-            "shards: {} regions, cross-shard {}/{} accepted, audits_failed {}",
-            final_stats.shards,
-            final_stats.cross_shard_accepted,
-            final_stats.cross_shard_offered,
+    println!(
+        "shards: {} regions, cross-shard {}/{} accepted, audits_failed {}",
+        final_stats.shards,
+        final_stats.cross_shard_accepted,
+        final_stats.cross_shard_offered,
+        final_stats.audits_failed
+    );
+    if final_stats.audits_failed != 0 {
+        return Err(format!(
+            "constraint auditor rejected {} committed embeddings",
             final_stats.audits_failed
-        );
-        if final_stats.audits_failed != 0 {
-            return Err(format!(
-                "constraint auditor rejected {} committed embeddings",
-                final_stats.audits_failed
-            ));
-        }
-        if shards > 1 && final_stats.cross_shard_accepted == 0 {
-            return Err("multi-shard replay accepted zero cross-shard embeddings; \
-                 the gateway-stitching path was never exercised"
-                .into());
-        }
+        ));
+    }
+    if shards > 1 && final_stats.cross_shard_accepted == 0 {
+        return Err("multi-shard replay accepted zero cross-shard embeddings; \
+             the gateway-stitching path was never exercised"
+            .into());
     }
     if flags.has("verify") {
         let sim = run_lifecycle_detailed(&LifecycleConfig {

@@ -26,6 +26,11 @@ use serde::{Deserialize, Serialize};
 /// edges), and stats split out `rejected_rule`.
 pub const PROTOCOL_VERSION: u32 = 3;
 
+/// Longest request line the daemon accepts, in bytes. A connection whose
+/// unterminated line grows past it gets an `error` reply and is closed,
+/// so a client cannot make the daemon buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A client → server command.
 ///
 /// `cmd` selects the operation; the other fields are its operands:
@@ -215,8 +220,8 @@ pub struct StatsReport {
     pub faults_applied: u64,
     /// Leases reclaimed from vanished or misbehaving owners.
     pub orphans_reclaimed: u64,
-    /// Solves rolled back for exceeding the per-request time budget
-    /// (0 unless a solve timeout is configured).
+    /// Always 0: the daemon has no solve time budget. Kept so protocol
+    /// v3 peers still decode the report.
     pub solve_timeouts: u64,
     /// Transient commit failures that were retried with a refreshed
     /// residual.
@@ -229,7 +234,7 @@ pub struct StatsReport {
     pub cross_shard_offered: u64,
     /// Cross-shard requests that were stitched and committed.
     pub cross_shard_accepted: u64,
-    /// Per-shard load figures (empty on the unsharded daemon).
+    /// Per-shard load figures, one lane per shard.
     pub per_shard: Vec<ShardLane>,
 }
 

@@ -4,7 +4,9 @@
 //! shutdown — all over real sockets.
 
 use dagsfc_net::{FaultEvent, LeaseId, NodeId};
-use dagsfc_serve::{replay, serve, Client, ClientError, EmbedReply, ServeConfig, WireRequest};
+use dagsfc_serve::{
+    replay, spawn_batched, BatchConfig, Client, ClientError, EmbedReply, ServerHandle, WireRequest,
+};
 use dagsfc_sim::runner::{instance_network, instance_request};
 use dagsfc_sim::{export_trace, run_lifecycle_detailed, Algo, LifecycleConfig, SimConfig};
 
@@ -21,8 +23,8 @@ fn base() -> SimConfig {
     }
 }
 
-fn spawn(cfg: ServeConfig, sim: &SimConfig) -> serve::ServerHandle {
-    serve::spawn(instance_network(sim), cfg, "127.0.0.1:0").expect("bind")
+fn spawn(cfg: BatchConfig, sim: &SimConfig) -> ServerHandle {
+    spawn_batched(instance_network(sim), 1, cfg, "127.0.0.1:0").expect("bind")
 }
 
 /// The headline acceptance criterion: replaying a frozen trace through
@@ -47,9 +49,9 @@ fn replay_matches_lifecycle_for_any_worker_count() {
 
     for workers in [1usize, 4] {
         let handle = spawn(
-            ServeConfig {
-                workers,
-                ..ServeConfig::default()
+            BatchConfig {
+                workers_per_shard: workers,
+                ..BatchConfig::default()
             },
             &cfg.base,
         );
@@ -80,9 +82,9 @@ fn replay_matches_lifecycle_for_any_worker_count() {
 fn zero_capacity_queue_rejects_with_backpressure() {
     let sim = base();
     let handle = spawn(
-        ServeConfig {
+        BatchConfig {
             queue_capacity: 0,
-            ..ServeConfig::default()
+            ..BatchConfig::default()
         },
         &sim,
     );
@@ -104,7 +106,7 @@ fn zero_capacity_queue_rejects_with_backpressure() {
 #[test]
 fn infeasible_requests_are_turned_away_at_admission() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, mut flow) = instance_request(&sim, &net, 0);
@@ -124,7 +126,7 @@ fn infeasible_requests_are_turned_away_at_admission() {
 #[test]
 fn unknown_and_double_release_are_protocol_errors() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     match client.release(LeaseId(424242)) {
@@ -152,7 +154,7 @@ fn unknown_and_double_release_are_protocol_errors() {
 #[test]
 fn stats_report_covers_oracle_queue_and_latency() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let mut accepted = 0usize;
@@ -190,7 +192,7 @@ fn stats_report_covers_oracle_queue_and_latency() {
     }
     assert_eq!(
         stats.queue_capacity,
-        ServeConfig::default().queue_capacity as u64
+        BatchConfig::default().queue_capacity as u64
     );
     drop(client);
     handle.join();
@@ -199,7 +201,7 @@ fn stats_report_covers_oracle_queue_and_latency() {
 #[test]
 fn graceful_shutdown_preserves_committed_leases() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
@@ -218,7 +220,7 @@ fn graceful_shutdown_preserves_committed_leases() {
 #[test]
 fn unknown_preset_is_a_protocol_error_not_a_crash() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let flow = dagsfc_core::Flow::unit(NodeId(0), NodeId(5));
     match client.embed_preset("no-such-chain", &flow, None, None, 1) {
@@ -236,7 +238,7 @@ fn unknown_preset_is_a_protocol_error_not_a_crash() {
 #[test]
 fn faults_over_the_wire_block_and_recover() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
@@ -284,7 +286,7 @@ fn faults_over_the_wire_block_and_recover() {
 #[test]
 fn reclaim_command_releases_a_vanished_clients_leases() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let net = instance_network(&sim);
 
     // Client A commits a lease, then vanishes without releasing it.
@@ -323,9 +325,9 @@ fn reclaim_command_releases_a_vanished_clients_leases() {
 fn reclaim_on_disconnect_sweeps_orphans_automatically() {
     let sim = base();
     let handle = spawn(
-        ServeConfig {
+        BatchConfig {
             reclaim_on_disconnect: true,
-            ..ServeConfig::default()
+            ..BatchConfig::default()
         },
         &sim,
     );
@@ -361,7 +363,7 @@ fn reclaim_on_disconnect_sweeps_orphans_automatically() {
 #[test]
 fn slow_and_abandoning_clients_do_not_wedge_the_daemon() {
     let sim = base();
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let net = instance_network(&sim);
     let (sfc, flow) = instance_request(&sim, &net, 0);
 
@@ -399,7 +401,7 @@ fn preset_embeds_end_to_end() {
         vnf_deploy_ratio: 1.0,
         ..base()
     };
-    let handle = spawn(ServeConfig::default(), &sim);
+    let handle = spawn(BatchConfig::default(), &sim);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let flow = dagsfc_core::Flow::unit(NodeId(0), NodeId(5));
     match client

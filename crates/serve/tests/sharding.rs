@@ -1,5 +1,5 @@
-//! Integration tests for the batched, sharded serving front end: the
-//! 1-shard differential against the legacy daemon (bit-for-bit on the
+//! Integration tests for the batched, sharded daemon: the 1-shard
+//! differential against the in-process lifecycle (bit-for-bit on the
 //! committed smoke trace), worker/shard-pool independence, the `hello`
 //! protocol handshake, and multi-shard stitching audits.
 
@@ -8,8 +8,8 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 
 use dagsfc_serve::{
-    replay, serve, spawn_batched, BatchConfig, Client, ClientError, ReplayReport, ServeConfig,
-    WireRequest, PROTOCOL_VERSION,
+    replay, spawn_batched, BatchConfig, Client, ClientError, ReplayReport, WireRequest,
+    PROTOCOL_VERSION,
 };
 use dagsfc_sim::io as sim_io;
 use dagsfc_sim::runner::instance_network;
@@ -26,7 +26,6 @@ fn replay_batched(
     workers: usize,
 ) -> (ReplayReport, dagsfc_serve::StatsReport) {
     let cfg = BatchConfig {
-        shards,
         workers_per_shard: workers,
         algo: trace.algo,
         ..BatchConfig::default()
@@ -39,41 +38,24 @@ fn replay_batched(
     (report, handle.join())
 }
 
-/// The tentpole differential: a 1-shard batched pipeline is
-/// bit-for-bit identical to the legacy thread-per-connection daemon —
-/// and both match the in-process lifecycle — on the committed trace.
+/// A 1-shard daemon replays the committed trace bit-for-bit like the
+/// in-process lifecycle, and its final counters agree with it.
 #[test]
-fn one_shard_batched_pipeline_matches_legacy_daemon_bit_for_bit() {
+fn one_shard_daemon_matches_run_trace_bit_for_bit() {
     let trace = smoke_trace();
     let truth = run_trace(&instance_network(&trace.base), &trace);
 
-    let handle = serve::spawn(
-        instance_network(&trace.base),
-        ServeConfig {
-            algo: trace.algo,
-            ..ServeConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("spawn legacy");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let legacy = replay(&mut client, &trace).expect("legacy replay");
-    drop(client);
-    let legacy_stats = handle.join();
+    let (batched, stats) = replay_batched(&trace, 1, 2);
 
-    let (batched, batched_stats) = replay_batched(&trace, 1, 2);
-
-    assert_eq!(batched.per_arrival, legacy.per_arrival);
-    assert_eq!(batched.departure_order, legacy.departure_order);
-    assert_eq!(batched.total_cost(), legacy.total_cost());
     assert_eq!(batched.per_arrival, truth.per_arrival);
     assert_eq!(batched.departure_order, truth.departure_order);
-    assert_eq!(batched_stats.accepted, legacy_stats.accepted);
-    assert_eq!(batched_stats.rejected, legacy_stats.rejected);
-    assert_eq!(batched_stats.total_cost, legacy_stats.total_cost);
-    assert_eq!(batched_stats.audits_failed, 0);
-    assert_eq!(batched_stats.shards, 1);
-    assert_eq!(batched_stats.cross_shard_offered, 0);
+    assert_eq!(batched.total_cost(), truth.total_cost());
+    assert_eq!(stats.accepted, truth.metrics.accepted as u64);
+    assert_eq!(stats.rejected, truth.metrics.rejected as u64);
+    assert_eq!(stats.total_cost, truth.total_cost());
+    assert_eq!(stats.audits_failed, 0);
+    assert_eq!(stats.shards, 1);
+    assert_eq!(stats.cross_shard_offered, 0);
 }
 
 /// Replay outcomes are a function of admission order alone: any
@@ -118,55 +100,48 @@ fn multi_shard_replay_stitches_and_audits_clean() {
     );
 }
 
-/// `Client::connect` performs the hello handshake against both server
-/// generations; a wrong version is refused before any work is queued.
+/// `Client::connect` performs the hello handshake; a wrong version is
+/// refused before any work is queued.
 #[test]
-fn hello_handshake_succeeds_on_both_servers_and_rejects_bad_versions() {
+fn hello_handshake_succeeds_and_rejects_bad_versions() {
     let trace = smoke_trace();
     let net = instance_network(&trace.base);
+    let handle = spawn_batched(net, 1, BatchConfig::default(), "127.0.0.1:0").expect("spawn");
 
-    let legacy = serve::spawn(net.clone(), ServeConfig::default(), "127.0.0.1:0").expect("legacy");
-    let batched = spawn_batched(net, 1, BatchConfig::default(), "127.0.0.1:0").expect("batched");
-    for addr in [legacy.addr(), batched.addr()] {
-        // The versioned handshake succeeds...
-        let mut client = Client::connect(addr).expect("handshake");
-        client.ping().expect("ping after hello");
+    // The versioned handshake succeeds...
+    let mut client = Client::connect(handle.addr()).expect("handshake");
+    client.ping().expect("ping after hello");
 
-        // ...a stale version is refused with the daemon's version echoed...
-        let resp = client
-            .request(&WireRequest {
-                cmd: "hello".into(),
-                proto: Some(PROTOCOL_VERSION + 7),
-                ..WireRequest::default()
-            })
-            .expect("transport");
-        assert_eq!(resp.status, "error");
-        assert_eq!(resp.proto, Some(PROTOCOL_VERSION));
-        assert!(
-            resp.reason
-                .as_deref()
-                .unwrap_or("")
-                .contains("protocol mismatch"),
-            "reason should name the mismatch, got {:?}",
-            resp.reason
-        );
+    // ...a stale version is refused with the daemon's version echoed...
+    let resp = client
+        .request(&WireRequest {
+            cmd: "hello".into(),
+            proto: Some(PROTOCOL_VERSION + 7),
+            ..WireRequest::default()
+        })
+        .expect("transport");
+    assert_eq!(resp.status, "error");
+    assert_eq!(resp.proto, Some(PROTOCOL_VERSION));
+    assert!(
+        resp.reason
+            .as_deref()
+            .unwrap_or("")
+            .contains("protocol mismatch"),
+        "reason should name the mismatch, got {:?}",
+        resp.reason
+    );
 
-        // ...and an unversioned hello is refused too.
-        let resp = client
-            .request(&WireRequest {
-                cmd: "hello".into(),
-                ..WireRequest::default()
-            })
-            .expect("transport");
-        assert_eq!(resp.status, "error");
-        drop(client);
-    }
-    let mut c = Client::connect(legacy.addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    legacy.join();
-    let mut c = Client::connect(batched.addr()).expect("connect");
-    c.shutdown().expect("shutdown");
-    batched.join();
+    // ...and an unversioned hello is refused too.
+    let resp = client
+        .request(&WireRequest {
+            cmd: "hello".into(),
+            ..WireRequest::default()
+        })
+        .expect("transport");
+    assert_eq!(resp.status, "error");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// A daemon speaking a different protocol version fails

@@ -24,8 +24,8 @@
 //!    rolls back every reservation already made.
 //!
 //! With one shard the view is the full residual, the corridor set is
-//! empty, and every step above degenerates to exactly what
-//! `dagsfc_serve::Engine` does — the 1-shard differential test pins
+//! empty, and every step above degenerates to the single-ledger kernel
+//! `dagsfc_sim::embed_and_commit` plus an audit — the 1-shard tests pin
 //! that equivalence bit-for-bit.
 
 use crate::plan::{GatewayTable, ShardPlan};
@@ -40,10 +40,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Bounded retry budget for transient commit failures, mirroring the
-/// unsharded engine's (`dagsfc_serve::MAX_COMMIT_RETRIES`): the views
-/// are force-refreshed and the request re-solved at most this many
-/// extra times.
+/// Bounded retry budget for transient commit failures: the views are
+/// force-refreshed and the request re-solved at most this many extra
+/// times.
 pub const MAX_COMMIT_RETRIES: u32 = 2;
 
 /// Handle for one stitched lease (spans one ledger per involved shard).

@@ -1,13 +1,17 @@
 //! Invariant and property tests for the region-sharded substrate:
-//! partition soundness, router determinism, gateway-table pricing, and
-//! the two-phase commit's no-leak guarantees.
+//! partition soundness, router determinism, gateway-table pricing, the
+//! two-phase commit's no-leak guarantees, and the engine contract the
+//! daemon relies on at one shard (counters, residual reuse, faults,
+//! reclaim, rejection split, parity with the lifecycle kernel).
 
-use dagsfc_net::{LinkId, NodeId};
+use std::sync::Arc;
+
+use dagsfc_net::{CommitLedger, FaultEvent, LinkId, Network, NodeId};
 use dagsfc_shard::{
     GatewayTable, RoutePolicy, ShardPlan, ShardRouter, ShardedEngine, ShardedStats,
 };
 use dagsfc_sim::runner::{instance_network, instance_request};
-use dagsfc_sim::{arrival_seed, Algo, SimConfig};
+use dagsfc_sim::{arrival_seed, embed_and_commit, Algo, SimConfig};
 use proptest::prelude::*;
 
 fn cfg(nodes: usize, seed: u64) -> SimConfig {
@@ -191,6 +195,199 @@ fn rejections_leave_every_ledger_untouched() {
     assert_eq!(before, after, "rejections must not advance any ledger");
 }
 
+/// A single-shard engine: the configuration the daemon serves by default.
+fn one_shard(net: &Network) -> ShardedEngine<'_> {
+    let plan = ShardPlan::partition(net, 1).expect("partition");
+    ShardedEngine::new(net, plan, ShardRouter::default())
+}
+
+fn unit_cfg() -> SimConfig {
+    SimConfig {
+        network_size: 24,
+        sfc_size: 3,
+        vnf_capacity: 8.0,
+        link_capacity: 8.0,
+        seed: 0xE46,
+        ..SimConfig::default()
+    }
+}
+
+#[test]
+fn one_shard_embed_release_cycle_updates_counters() {
+    let c = unit_cfg();
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let (sfc, flow) = instance_request(&c, &net, 0);
+    let a = engine
+        .embed(&sfc, &flow, Algo::Minv, arrival_seed(c.seed, 0))
+        .expect("fresh network admits");
+    assert!(engine.is_active(a.lease));
+    assert_eq!(engine.active_leases(), 1);
+
+    let stats = engine.stats();
+    assert_eq!((stats.accepted, stats.rejected), (1, 0));
+    assert_eq!(stats.audits_run, 1, "every commit is audited");
+    assert_eq!(stats.audits_failed, 0);
+    assert!(stats.total_cost > 0.0);
+    assert!(stats.outstanding_load > 0.0);
+    assert_eq!(stats.per_algo.len(), 1);
+    assert_eq!(stats.per_algo[0].0, "MINV");
+    assert_eq!(stats.per_algo[0].1, 1);
+
+    engine.release(a.lease).expect("release");
+    let stats = engine.stats();
+    assert_eq!(stats.active_leases, 0);
+    assert_eq!(stats.released, 1);
+    assert!(stats.outstanding_load.abs() < 1e-12);
+}
+
+#[test]
+fn one_shard_residual_is_reused_until_the_epoch_moves() {
+    let c = unit_cfg();
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let before = engine.unpartitioned_residual();
+    assert!(Arc::ptr_eq(&before, &engine.unpartitioned_residual()));
+    let (sfc, flow) = instance_request(&c, &net, 0);
+    engine
+        .embed(&sfc, &flow, Algo::Minv, arrival_seed(c.seed, 0))
+        .expect("fresh network admits");
+    // The commit bumped the epoch: a new snapshot must be built.
+    assert!(!Arc::ptr_eq(&before, &engine.unpartitioned_residual()));
+}
+
+#[test]
+fn one_shard_fault_blocks_then_recovers() {
+    let c = unit_cfg();
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let (sfc, flow) = instance_request(&c, &net, 0);
+    let seed = arrival_seed(c.seed, 0);
+
+    // Every node down: no embedding can commit.
+    for n in 0..net.node_count() {
+        let node = NodeId(n as u32);
+        assert!(engine.apply_fault(&FaultEvent::NodeDown { node }).unwrap());
+    }
+    let before = engine.unpartitioned_residual();
+    assert!(engine.embed(&sfc, &flow, Algo::Minv, seed).is_err());
+
+    for n in 0..net.node_count() {
+        let node = NodeId(n as u32);
+        engine.apply_fault(&FaultEvent::NodeUp { node }).unwrap();
+    }
+    assert!(!Arc::ptr_eq(&before, &engine.unpartitioned_residual()));
+    engine
+        .embed(&sfc, &flow, Algo::Minv, seed)
+        .expect("recovered substrate admits");
+    let stats = engine.stats();
+    assert_eq!(stats.faults_applied, 2 * net.node_count() as u64);
+    assert_eq!(stats.audits_failed, 0);
+}
+
+#[test]
+fn one_shard_reclaim_frees_only_that_owners_leases() {
+    let c = unit_cfg();
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let mut embed_as = |owner: u64, arrival: usize| {
+        engine.set_request_owner(Some(owner));
+        let (sfc, flow) = instance_request(&c, &net, arrival);
+        let lease = engine
+            .embed(&sfc, &flow, Algo::Minv, arrival_seed(c.seed, arrival))
+            .expect("admits")
+            .lease;
+        engine.set_request_owner(None);
+        lease
+    };
+    let a = embed_as(7, 0);
+    let b = embed_as(8, 1);
+
+    assert_eq!(engine.reclaim_owner(7), vec![a]);
+    assert!(!engine.is_active(a));
+    assert!(engine.is_active(b), "other owner untouched");
+    assert_eq!(engine.stats().orphans_reclaimed, 1);
+    assert!(engine.reclaim_owner(7).is_empty());
+}
+
+#[test]
+fn one_shard_rejections_split_deadline_rule_and_capacity() {
+    let c = unit_cfg();
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let (sfc, flow) = instance_request(&c, &net, 0);
+    let seed = arrival_seed(c.seed, 0);
+
+    // Generated links carry ~10 µs each: a 0.001 µs budget is provably
+    // deadline-infeasible.
+    let mut strict = flow;
+    strict.delay_budget_us = Some(0.001);
+    let e = engine.embed(&sfc, &strict, Algo::Mbbe, seed).unwrap_err();
+    assert!(e.is_deadline_infeasible(), "{e}");
+
+    let mut heavy = flow;
+    heavy.rate = 1e9;
+    let e = engine.embed(&sfc, &heavy, Algo::Mbbe, seed).unwrap_err();
+    assert!(
+        !e.is_deadline_infeasible() && !e.is_rule_infeasible(),
+        "{e}"
+    );
+
+    // A reflexive anti-affinity pair over an embedded kind never holds.
+    let kind = sfc.layers()[0].vnfs()[0];
+    let ruled = sfc.clone().with_rules(dagsfc_core::PlacementRules {
+        affinity: vec![],
+        anti_affinity: vec![(kind, kind)],
+    });
+    let e = engine.embed(&ruled, &flow, Algo::Mbbe, seed).unwrap_err();
+    assert!(e.is_rule_infeasible() && !e.is_deadline_infeasible(), "{e}");
+
+    let stats = engine.stats();
+    assert_eq!(stats.rejected, 3);
+    assert_eq!(stats.rejected_deadline, 1);
+    assert_eq!(stats.rejected_rule, 1);
+    assert_eq!(stats.rejected_capacity, 1);
+    // The rejected attempts left the substrate untouched.
+    engine
+        .embed(&sfc, &flow, Algo::Mbbe, seed)
+        .expect("best-effort request admits");
+}
+
+/// At one shard the engine decides exactly like the lifecycle kernel
+/// `sim::embed_and_commit` on a single ledger, through saturation.
+#[test]
+fn one_shard_decisions_equal_the_lifecycle_kernel() {
+    let c = SimConfig {
+        network_size: 12,
+        sfc_size: 3,
+        vnf_capacity: 2.0,
+        link_capacity: 2.0,
+        seed: 0xE47,
+        ..SimConfig::default()
+    };
+    let net = instance_network(&c);
+    let mut engine = one_shard(&net);
+    let mut ledger = CommitLedger::new(&net);
+    let mut rejected = 0;
+    for arrival in 0..20 {
+        let (sfc, flow) = instance_request(&c, &net, arrival);
+        let seed = arrival_seed(c.seed, arrival);
+        let residual = ledger.residual();
+        let direct = embed_and_commit(&mut ledger, &residual, &sfc, &flow, Algo::Minv, seed);
+        let served = engine.embed(&sfc, &flow, Algo::Minv, seed);
+        assert_eq!(direct.is_ok(), served.is_ok(), "arrival {arrival}");
+        match (direct, served) {
+            (Ok(d), Ok(s)) => assert_eq!(
+                d.cost.total().to_bits(),
+                s.cost.total().to_bits(),
+                "arrival {arrival}"
+            ),
+            _ => rejected += 1,
+        }
+    }
+    assert!(rejected > 0, "the tiny substrate must saturate");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -248,6 +445,8 @@ proptest! {
             }
         }
         let (sa, sb) = (one.stats(), two.stats());
+        // Every commit was audited, and none failed.
+        prop_assert_eq!(sa.audits_run, sa.accepted);
         prop_assert_eq!(sa.accepted, sb.accepted);
         prop_assert_eq!(sa.total_cost, sb.total_cost);
         prop_assert_eq!(sa.cross_shard_accepted, sb.cross_shard_accepted);

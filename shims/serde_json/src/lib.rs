@@ -154,15 +154,22 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts (real `serde_json`'s
+/// default). The parser recurses once per level, so without a bound a
+/// line of `[[[[…` overflows the stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value_complete(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -216,14 +223,27 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::String),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::new(format!(
                 "unexpected character '{}' at byte {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -419,6 +439,17 @@ mod tests {
         let text = to_string_pretty(&v).unwrap();
         let back: Vec<Vec<u32>> = from_str(&text).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value_complete(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_value_complete(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Deep enough to overflow any thread stack without the bound.
+        assert!(parse_value_complete(&"[".repeat(100_000)).is_err());
+        assert!(parse_value_complete(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
