@@ -18,11 +18,9 @@ use crate::chain::Layer;
 use crate::cost::CostBreakdown;
 use crate::flow::Flow;
 use crate::vnf::VnfCatalog;
-use dagsfc_net::routing::ShortestPathTree;
 use dagsfc_net::{LinkId, Network, NodeId, Path, PathOracle, CAP_EPS};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One embedded layer: the paper's per-layer sub-solution.
 #[derive(Debug, Clone)]
@@ -101,18 +99,35 @@ impl<'a> EngineCtx<'a> {
     }
 
     /// Cheapest path `from → to` over rate-feasible links, via the shared
-    /// oracle's memoized single-source Dijkstra trees.
+    /// oracle's resumable single-source Dijkstra trees.
     pub fn min_cost_path(&self, from: NodeId, to: NodeId) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
         }
-        let (tree, hit) = self.oracle.tree_tracked(from, self.flow.rate);
+        let (path, hit) = self.oracle.path(from, to, self.flow.rate);
+        self.count(hit);
+        path
+    }
+
+    /// Price of the cheapest rate-feasible path `from → to` (hit/miss
+    /// tracked like [`Self::min_cost_path`]). The finals stage prices
+    /// every leaf off the one destination-rooted tree this way, growing
+    /// it only as far as the leaves' end nodes.
+    pub fn min_cost_dist(&self, from: NodeId, to: NodeId) -> Option<f64> {
+        if from == to {
+            return Some(0.0);
+        }
+        let (dist, hit) = self.oracle.dist(from, to, self.flow.rate);
+        self.count(hit);
+        dist
+    }
+
+    fn count(&self, hit: bool) {
         if hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        tree.path_to(to)
     }
 
     /// Cheapest path `from → to` over rate-feasible links whose summed
@@ -130,21 +145,6 @@ impl<'a> EngineCtx<'a> {
             .min_cost_path_bounded(from, to, self.flow.rate, max_delay_us)
     }
 
-    /// The full Dijkstra tree rooted at `root` over rate-feasible links,
-    /// from the shared oracle (hit/miss tracked like
-    /// [`Self::min_cost_path`]). The finals stage uses one
-    /// destination-rooted tree to price every leaf instead of building
-    /// one tree per distinct leaf end node.
-    pub fn oracle_tree(&self, root: NodeId) -> Arc<ShortestPathTree> {
-        let (tree, hit) = self.oracle.tree_tracked(root, self.flow.rate);
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        tree
-    }
-
     /// This solve's path-cache traffic as `(hits, misses)`.
     pub fn cache_counts(&self) -> (u64, u64) {
         (
@@ -155,7 +155,9 @@ impl<'a> EngineCtx<'a> {
 }
 
 /// Mixed-radix cartesian product of `options`, cheapest-first (index 0 of
-/// every dimension first), capped at `cap` combinations.
+/// every dimension first), capped at `cap` combinations: the reference
+/// enumeration [`for_each_bounded_combo`] is pinned against.
+#[cfg(test)]
 pub(crate) fn bounded_cartesian<T: Clone>(options: &[Vec<T>], cap: usize) -> Vec<Vec<T>> {
     if options.iter().any(Vec::is_empty) || cap == 0 {
         return Vec::new();
@@ -189,11 +191,11 @@ pub(crate) fn bounded_cartesian<T: Clone>(options: &[Vec<T>], cap: usize) -> Vec
     combos
 }
 
-/// Visits the same index combinations [`bounded_cartesian`] would
-/// produce over the dimension sizes `dims` (cheapest-first odometer,
-/// capped at `cap`), without materializing or cloning anything — the
-/// flat-sweep scoring loops walk these indices straight into their
-/// struct-of-arrays path tables.
+/// Visits the index combinations of the dimension sizes `dims` in
+/// cheapest-first odometer order (index 0 of every dimension first,
+/// least-significant dimension last), capped at `cap`, without
+/// materializing or cloning anything — candidate generation walks these
+/// indices straight into its per-slot option tables.
 pub(crate) fn for_each_bounded_combo(dims: &[usize], cap: usize, mut visit: impl FnMut(&[usize])) {
     if dims.contains(&0) || cap == 0 {
         return;
@@ -277,12 +279,13 @@ thread_local! {
 /// The link sum accumulates left-to-right in path order — inter paths
 /// (first occurrence only) then inner paths link-by-link — exactly as
 /// the original hash-set scorer did, so totals are bit-identical and
-/// downstream cheapest-first orderings cannot shift.
-pub(crate) fn layer_cost(
+/// downstream cheapest-first orderings cannot shift. Prices come from
+/// the context's flat per-link table.
+pub(crate) fn layer_cost<'p>(
     ctx: &EngineCtx<'_>,
     vnf_prices: f64,
-    inter: &[Path],
-    inner: &[Path],
+    inter: impl IntoIterator<Item = &'p Path>,
+    inner: impl IntoIterator<Item = &'p Path>,
 ) -> CostBreakdown {
     SEEN_LINKS.with(|cell| {
         let seen = &mut *cell.borrow_mut();
@@ -394,7 +397,7 @@ pub(crate) fn singleton_layer_subs(
         // lint:allow(expect) — invariant: candidate hosts kind
         let price = ctx.net.vnf_price(node, kind).expect("candidate hosts kind");
         for path in inter_path_options(ctx, fst, node) {
-            let cost = layer_cost(ctx, price, std::slice::from_ref(&path), &[]);
+            let cost = layer_cost(ctx, price, [&path], []);
             subs.push(LayerSub {
                 assignment: vec![node],
                 inter_paths: vec![path],
@@ -407,22 +410,112 @@ pub(crate) fn singleton_layer_subs(
     subs
 }
 
+/// Per-node path alternatives of one FST–BST pair, computed on first
+/// use: a candidate node pays for its inter and inner options once,
+/// however many assignment combinations it appears in. Entries keep the
+/// first-use order, so oracle queries run in the order the unmemoized
+/// loop issued them.
+#[derive(Default)]
+struct PairPaths {
+    nodes: Vec<NodePaths>,
+}
+
+struct NodePaths {
+    node: NodeId,
+    inter: Option<Vec<Path>>,
+    inner: Option<Vec<Path>>,
+}
+
+impl PairPaths {
+    fn entry(&mut self, node: NodeId) -> usize {
+        match self.nodes.iter().position(|e| e.node == node) {
+            Some(i) => i,
+            None => {
+                self.nodes.push(NodePaths {
+                    node,
+                    inter: None,
+                    inner: None,
+                });
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    /// `node`'s entry, with its inter-layer options computed.
+    fn with_inter(&mut self, ctx: &EngineCtx<'_>, fst: &SearchTree, node: NodeId) -> usize {
+        let i = self.entry(node);
+        self.nodes[i]
+            .inter
+            .get_or_insert_with(|| inter_path_options(ctx, fst, node));
+        i
+    }
+
+    /// `node`'s entry, with its inner-layer options computed.
+    fn with_inner(&mut self, ctx: &EngineCtx<'_>, bst: &SearchTree, node: NodeId) -> usize {
+        let i = self.entry(node);
+        self.nodes[i]
+            .inner
+            .get_or_insert_with(|| inner_path_options(ctx, bst, node));
+        i
+    }
+
+    fn inters(&self, entry: usize) -> &[Path] {
+        self.nodes[entry].inter.as_deref().unwrap_or(&[])
+    }
+
+    fn inners(&self, entry: usize) -> &[Path] {
+        self.nodes[entry].inner.as_deref().unwrap_or(&[])
+    }
+}
+
+/// One allocation's candidates, consecutive in generation order.
+struct Group {
+    /// Slot nodes (merger excluded) and their [`PairPaths`] entries.
+    assignment: Vec<NodeId>,
+    entries: Vec<usize>,
+    routing: Routing,
+}
+
+/// How a group's candidates route the layer.
+enum Routing {
+    /// MBBE-ST: one Steiner multicast tree carries every inter path; a
+    /// combo picks one inner option per slot.
+    Steiner(Vec<Path>),
+    /// Independent paths: a combo picks one `(inter, inner)` option
+    /// index pair per slot from these lists.
+    Paths(Vec<Vec<(usize, usize)>>),
+}
+
+/// A scored, not yet materialized candidate.
+struct Scored {
+    cost: CostBreakdown,
+    group: usize,
+    /// Offset of its per-slot combo indices in the combo arena.
+    combo_at: usize,
+}
+
 /// Generates sub-solutions for a *parallel* layer from one FST–BST pair
-/// (the BST is rooted at the merger candidate).
+/// (the BST is rooted at the merger candidate), cheapest first, and the
+/// number of candidates generated.
+///
+/// Every candidate is scored; only those returned are materialized —
+/// under MBBE's `X_d` the cheapest `X_d` by `(cost, generation index)`,
+/// which is exactly the prefix a stable cost sort of the full list
+/// would keep. Without `X_d` all are returned in that order.
 pub(crate) fn parallel_layer_subs(
     ctx: &EngineCtx<'_>,
     layer: &Layer,
     fst: &SearchTree,
     bst: &SearchTree,
-) -> Vec<LayerSub> {
+) -> (Vec<LayerSub>, usize) {
     debug_assert!(layer.needs_merger());
     let merger_node = bst.root();
     let merger_kind = ctx.catalog.merger();
     let Some(merger_inst) = ctx.net.instance(merger_node, merger_kind) else {
-        return Vec::new();
+        return (Vec::new(), 0);
     };
     if merger_inst.capacity + CAP_EPS < ctx.flow.rate {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
 
     // Step (i): allocation combinations from the BST.
@@ -431,14 +524,29 @@ pub(crate) fn parallel_layer_subs(
         .iter()
         .map(|&kind| slot_candidates(ctx, bst, kind))
         .collect();
-    let assignments = bounded_cartesian(&per_slot, ctx.cfg.max_assignment_combos);
+    let slot_dims: Vec<usize> = per_slot.iter().map(Vec::len).collect();
 
-    let mut subs = Vec::new();
-    for assignment in assignments {
+    let mut paths = PairPaths::default();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut scored: Vec<Scored> = Vec::new();
+    let mut combos: Vec<usize> = Vec::new();
+    for_each_bounded_combo(&slot_dims, ctx.cfg.max_assignment_combos, |pick| {
+        let assignment: Vec<NodeId> = pick
+            .iter()
+            .enumerate()
+            .map(|(s, &i)| per_slot[s][i])
+            .collect();
+        let vnf_prices: f64 = assignment
+            .iter()
+            .zip(layer.vnfs())
+            // lint:allow(expect) — invariant: candidate hosts kind
+            .map(|(&n, &k)| ctx.net.vnf_price(n, k).expect("candidate hosts kind"))
+            .sum::<f64>()
+            + merger_inst.price;
         // MBBE-ST extension: additionally route the layer's inter-layer
         // multicast as one Takahashi–Matsuyama Steiner tree, maximizing
         // the eq. (9) link sharing. These candidates *augment* the
-        // independent-path ones below; cheapest-first sorting and `X_d`
+        // independent-path ones below; cheapest-first ordering and `X_d`
         // pruning then pick whichever routing wins, so MBBE-ST is never
         // worse than MBBE on a layer.
         if ctx.cfg.use_steiner_multicast {
@@ -449,134 +557,138 @@ pub(crate) fn parallel_layer_subs(
                 &|l: LinkId| ctx.link_ok(l),
             );
             if let Some(mt) = tree {
-                let inner_opts: Vec<Vec<Path>> = assignment
+                let entries: Vec<usize> = assignment
                     .iter()
-                    .map(|&node| inner_path_options(ctx, bst, node))
+                    .map(|&node| paths.with_inner(ctx, bst, node))
                     .collect();
-                if inner_opts.iter().all(|o| !o.is_empty()) {
-                    let vnf_prices: f64 = assignment
-                        .iter()
-                        .zip(layer.vnfs())
-                        // lint:allow(expect) — invariant: candidate hosts kind
-                        .map(|(&n, &k)| ctx.net.vnf_price(n, k).expect("candidate hosts kind"))
-                        .sum::<f64>()
-                        + merger_inst.price;
-                    let dims: Vec<usize> = inner_opts.iter().map(Vec::len).collect();
+                let dims: Vec<usize> = entries.iter().map(|&e| paths.inners(e).len()).collect();
+                if !dims.contains(&0) {
+                    let group = groups.len();
                     for_each_bounded_combo(&dims, ctx.cfg.max_path_combos, |combo| {
-                        let inner_paths: Vec<Path> = combo
+                        let inner = combo
                             .iter()
-                            .enumerate()
-                            .map(|(s, &i)| inner_opts[s][i].clone())
-                            .collect();
-                        let cost = layer_cost(ctx, vnf_prices, &mt.paths, &inner_paths);
-                        let mut full_assignment = assignment.clone();
-                        full_assignment.push(merger_node);
-                        subs.push(LayerSub {
-                            assignment: full_assignment,
-                            inter_paths: mt.paths.clone(),
-                            inner_paths,
-                            cost,
-                            end_node: merger_node,
+                            .zip(&entries)
+                            .map(|(&i, &e)| &paths.inners(e)[i]);
+                        scored.push(Scored {
+                            cost: layer_cost(ctx, vnf_prices, &mt.paths, inner),
+                            group,
+                            combo_at: combos.len(),
                         });
+                        combos.extend_from_slice(combo);
+                    });
+                    groups.push(Group {
+                        assignment: assignment.clone(),
+                        entries,
+                        routing: Routing::Steiner(mt.paths),
                     });
                 }
             }
         }
-        // Steps (ii)+(iii) in struct-of-arrays form: each slot keeps its
-        // inter/inner path alternatives in place plus a flat index-pair
-        // list replicating the old cheapest-first (inter × inner)
-        // enumeration. Candidate scoring then runs as one flat sweep per
-        // combination over these arrays — contiguous price reads, no
-        // per-candidate hash set, and no `Path` clones until a candidate
-        // is actually emitted.
-        let mut slot_paths: Vec<(Vec<Path>, Vec<Path>)> = Vec::with_capacity(assignment.len());
-        let mut pair_idx: Vec<Vec<(usize, usize)>> = Vec::with_capacity(assignment.len());
-        let mut feasible = true;
+        // Steps (ii)+(iii): each slot's inter/inner alternatives plus a
+        // flat index-pair list replicating the cheapest-first
+        // (inter × inner) enumeration; a combination picks one pair per
+        // slot and is scored straight off the memoized paths, without
+        // cloning any of them.
+        let mut entries = Vec::with_capacity(assignment.len());
+        let mut pairs: Vec<Vec<(usize, usize)>> = Vec::with_capacity(assignment.len());
         for &node in &assignment {
-            let inters = inter_path_options(ctx, fst, node);
-            let inners = inner_path_options(ctx, bst, node);
-            if inters.is_empty() || inners.is_empty() {
-                feasible = false;
-                break;
+            let e = paths.with_inter(ctx, fst, node);
+            paths.with_inner(ctx, bst, node);
+            let (inters, inners) = (paths.inters(e).len(), paths.inners(e).len());
+            if inters == 0 || inners == 0 {
+                return;
             }
             let cap = ctx.cfg.max_paths_per_pair * ctx.cfg.max_paths_per_pair;
-            let mut pairs = Vec::with_capacity((inters.len() * inners.len()).min(cap));
-            'fill: for i in 0..inters.len() {
-                for n in 0..inners.len() {
-                    if pairs.len() >= cap {
-                        break 'fill;
-                    }
-                    pairs.push((i, n));
-                }
-            }
-            slot_paths.push((inters, inners));
-            pair_idx.push(pairs);
+            let slot_pairs: Vec<(usize, usize)> = (0..inters)
+                .flat_map(|i| (0..inners).map(move |n| (i, n)))
+                .take(cap)
+                .collect();
+            entries.push(e);
+            pairs.push(slot_pairs);
         }
-        if !feasible {
-            continue;
-        }
-        let vnf_prices: f64 = assignment
-            .iter()
-            .zip(layer.vnfs())
-            // lint:allow(expect) — invariant: candidate hosts kind
-            .map(|(&n, &k)| ctx.net.vnf_price(n, k).expect("candidate hosts kind"))
-            .sum::<f64>()
-            + merger_inst.price;
-
-        let dims: Vec<usize> = pair_idx.iter().map(Vec::len).collect();
-        SEEN_LINKS.with(|cell| {
-            let seen = &mut *cell.borrow_mut();
-            for_each_bounded_combo(&dims, ctx.cfg.max_path_combos, |combo| {
-                // Flat scoring sweep, in the exact accumulation order of
-                // [`layer_cost`]: deduped inter links slot-by-slot, then
-                // per-occurrence inner links slot-by-slot.
-                seen.begin(ctx.net.link_count());
-                let mut link_price = 0.0;
-                for (s, &c) in combo.iter().enumerate() {
-                    let (pi, _) = pair_idx[s][c];
-                    for &l in slot_paths[s].0[pi].links() {
-                        if seen.first(l) {
-                            link_price += ctx.link_price[l.index()];
-                        }
-                    }
-                }
-                for (s, &c) in combo.iter().enumerate() {
-                    let (_, ni) = pair_idx[s][c];
-                    for &l in slot_paths[s].1[ni].links() {
-                        link_price += ctx.link_price[l.index()];
-                    }
-                }
-                let cost = CostBreakdown {
-                    vnf: vnf_prices * ctx.flow.size,
-                    link: link_price * ctx.flow.size,
-                };
-                let inter_paths: Vec<Path> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| slot_paths[s].0[pair_idx[s][c].0].clone())
-                    .collect();
-                let inner_paths: Vec<Path> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &c)| slot_paths[s].1[pair_idx[s][c].1].clone())
-                    .collect();
-                let mut full_assignment = assignment.clone();
-                full_assignment.push(merger_node);
-                subs.push(LayerSub {
-                    assignment: full_assignment,
-                    inter_paths,
-                    inner_paths,
-                    cost,
-                    end_node: merger_node,
-                });
+        let dims: Vec<usize> = pairs.iter().map(Vec::len).collect();
+        let group = groups.len();
+        for_each_bounded_combo(&dims, ctx.cfg.max_path_combos, |combo| {
+            let picked = || combo.iter().zip(&pairs).zip(&entries);
+            let inter = picked().map(|((&c, p), &e)| &paths.inters(e)[p[c].0]);
+            let inner = picked().map(|((&c, p), &e)| &paths.inners(e)[p[c].1]);
+            scored.push(Scored {
+                cost: layer_cost(ctx, vnf_prices, inter, inner),
+                group,
+                combo_at: combos.len(),
             });
+            combos.extend_from_slice(combo);
         });
-    }
+        groups.push(Group {
+            assignment,
+            entries,
+            routing: Routing::Paths(pairs),
+        });
+    });
+    let generated = scored.len();
+
     // Step (iv): the static feasibility filters are applied inline above
-    // (capacity-vs-rate on every candidate node and path link); order
-    // candidates cheapest-first for downstream X_d pruning.
-    subs.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
-    subs
+    // (capacity-vs-rate on every candidate node and path link). Order
+    // by (cost, generation index) — a stable cost sort — and keep the
+    // X_d head when pruning.
+    let by_cost = |a: &usize, b: &usize| {
+        scored[*a]
+            .cost
+            .total()
+            .total_cmp(&scored[*b].cost.total())
+            .then(a.cmp(b))
+    };
+    let mut order: Vec<usize> = (0..generated).collect();
+    if let Some(xd) = ctx.cfg.x_d {
+        if xd < order.len() {
+            order.select_nth_unstable_by(xd, by_cost);
+            order.truncate(xd);
+        }
+    }
+    order.sort_unstable_by(by_cost);
+    let subs = order
+        .into_iter()
+        .map(|c| {
+            let Scored {
+                cost,
+                group,
+                combo_at,
+            } = scored[c];
+            let g = &groups[group];
+            let combo = &combos[combo_at..combo_at + g.assignment.len()];
+            let (inter_paths, inner_paths) = match &g.routing {
+                Routing::Steiner(inter) => (
+                    inter.clone(),
+                    combo
+                        .iter()
+                        .zip(&g.entries)
+                        .map(|(&i, &e)| paths.inners(e)[i].clone())
+                        .collect(),
+                ),
+                Routing::Paths(pairs) => {
+                    let picked = || combo.iter().zip(pairs).zip(&g.entries);
+                    (
+                        picked()
+                            .map(|((&c, p), &e)| paths.inters(e)[p[c].0].clone())
+                            .collect(),
+                        picked()
+                            .map(|((&c, p), &e)| paths.inners(e)[p[c].1].clone())
+                            .collect(),
+                    )
+                }
+            };
+            let mut assignment = g.assignment.clone();
+            assignment.push(merger_node);
+            LayerSub {
+                assignment,
+                inter_paths,
+                inner_paths,
+                cost,
+                end_node: merger_node,
+            }
+        })
+        .collect();
+    (subs, generated)
 }
 
 #[cfg(test)]
@@ -715,7 +827,7 @@ mod tests {
         assert!(fst.covered());
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
         assert!(bst.covered());
-        let subs = parallel_layer_subs(&ctx, &layer, &fst, &bst);
+        let (subs, _) = parallel_layer_subs(&ctx, &layer, &fst, &bst);
         assert!(!subs.is_empty());
         let best = &subs[0];
         assert_eq!(best.assignment.len(), 3); // f0, f1, merger
@@ -748,10 +860,111 @@ mod tests {
         let layer = Layer::new(vec![VnfTypeId(0), VnfTypeId(1)]);
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(2), &layer, &c, &fst);
-        let subs = parallel_layer_subs(&ctx, &layer, &fst, &bst);
+        let (subs, _) = parallel_layer_subs(&ctx, &layer, &fst, &bst);
         // One assignment combo × one path combo.
         assert_eq!(subs.len(), 1);
         assert!((subs[0].cost.total() - 8.5).abs() < 1e-12);
+    }
+
+    /// Field-by-field identity of two candidate lists, cost bits included.
+    fn assert_same_subs(tag: &str, a: &[LayerSub], b: &[LayerSub]) {
+        assert_eq!(a.len(), b.len(), "{tag}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.assignment, y.assignment, "{tag}[{i}]: assignment");
+            assert_eq!(x.inter_paths, y.inter_paths, "{tag}[{i}]: inter paths");
+            assert_eq!(x.inner_paths, y.inner_paths, "{tag}[{i}]: inner paths");
+            assert_eq!(
+                x.cost.vnf.to_bits(),
+                y.cost.vnf.to_bits(),
+                "{tag}[{i}]: vnf"
+            );
+            assert_eq!(
+                x.cost.link.to_bits(),
+                y.cost.link.to_bits(),
+                "{tag}[{i}]: link"
+            );
+            assert_eq!(x.end_node, y.end_node, "{tag}[{i}]: end node");
+        }
+    }
+
+    #[test]
+    fn bounded_generation_keeps_the_sorted_prefix_of_the_full_list() {
+        use dagsfc_net::{generator, NetGenConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        let catalog = VnfCatalog::new(4);
+        let mut pruning_pairs = 0;
+        for seed in 0..20u64 {
+            let net_cfg = NetGenConfig {
+                nodes: 40,
+                avg_degree: 4.0,
+                vnf_kinds: 5,
+                deploy_ratio: 0.5,
+                vnf_price_fluctuation: 0.3,
+                ..NetGenConfig::default()
+            };
+            let g = generator::generate(&net_cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let width = 2 + (seed % 2) as usize;
+            let layer = Layer::new((0..width).map(|_| VnfTypeId(rng.gen_range(0..4))).collect());
+            let src = NodeId(rng.gen_range(0..40));
+            let flow = Flow::unit(src, NodeId(rng.gen_range(0..40)));
+            for bounded_cfg in [BbeConfig::mbbe(), BbeConfig::mbbe_steiner()] {
+                let full_cfg = BbeConfig {
+                    x_d: None,
+                    ..bounded_cfg.clone()
+                };
+                // lint:allow(expect) — both configs carry X_d
+                let xd = bounded_cfg.x_d.expect("MBBE prunes");
+                let fst = forward_search(&g, src, &layer, &catalog, bounded_cfg.x_max);
+                for i in fst.hosting(catalog.merger()) {
+                    let bst = backward_search(&g, fst.node(i).node, &layer, &catalog, &fst);
+                    if !bst.covered() {
+                        continue;
+                    }
+                    let tag = format!(
+                        "seed {seed} steiner {} merger {i}",
+                        bounded_cfg.use_steiner_multicast
+                    );
+                    let oracle = PathOracle::new(&g);
+                    let ctx = EngineCtx::new(&g, catalog, flow, &bounded_cfg, &oracle);
+                    let (bounded, generated) = parallel_layer_subs(&ctx, &layer, &fst, &bst);
+                    // Each distinct candidate node pays at most one
+                    // inter and one inner query per pair.
+                    let distinct: BTreeSet<NodeId> = layer
+                        .vnfs()
+                        .iter()
+                        .flat_map(|&k| slot_candidates(&ctx, &bst, k))
+                        .collect();
+                    let (h, m) = ctx.cache_counts();
+                    assert!(
+                        h + m <= 2 * distinct.len() as u64,
+                        "{tag}: {} queries",
+                        h + m
+                    );
+
+                    let full_ctx = EngineCtx::new(&g, catalog, flow, &full_cfg, &oracle);
+                    let (mut full, full_generated) =
+                        parallel_layer_subs(&full_ctx, &layer, &fst, &bst);
+                    assert_eq!(generated, full_generated, "{tag}: generated");
+                    assert_eq!(full.len(), full_generated, "{tag}: unbounded keeps all");
+                    for w in full.windows(2) {
+                        assert!(w[0].cost.total() <= w[1].cost.total(), "{tag}: sorted");
+                    }
+                    if full.len() > xd {
+                        pruning_pairs += 1;
+                    }
+                    full.truncate(xd);
+                    assert_same_subs(&tag, &bounded, &full);
+                }
+            }
+        }
+        assert!(
+            pruning_pairs > 0,
+            "no pair generated more than X_d candidates"
+        );
     }
 
     #[test]
@@ -787,6 +1000,6 @@ mod tests {
         let fst = forward_search(&g, NodeId(0), &layer, &c, None);
         let bst = backward_search(&g, NodeId(1), &layer, &c, &fst);
         // Merger on v1 has capacity 0.5 < rate 1.0 → no candidates.
-        assert!(parallel_layer_subs(&ctx, &layer, &fst, &bst).is_empty());
+        assert!(parallel_layer_subs(&ctx, &layer, &fst, &bst).0.is_empty());
     }
 }

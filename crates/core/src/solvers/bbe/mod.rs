@@ -355,19 +355,14 @@ fn score_merger(
     layer: &Layer,
     fst: &Fst,
     merger_node: NodeId,
-    cfg: &BbeConfig,
     catalog: &VnfCatalog,
 ) -> Option<MergerScore> {
     let bst = backward_search(ctx.net, merger_node, layer, catalog, fst);
     if !bst.covered() {
         return None;
     }
-    let mut subs = parallel_layer_subs(ctx, layer, fst, &bst);
-    let generated = subs.len();
-    // Strategy (3), per FST–BST pair.
-    if let Some(xd) = cfg.x_d {
-        subs.truncate(xd);
-    }
+    // Strategy (3), per FST–BST pair: generation keeps the X_d cheapest.
+    let (subs, generated) = parallel_layer_subs(ctx, layer, fst, &bst);
     Some(MergerScore {
         subs,
         bst_nodes: bst.len(),
@@ -395,7 +390,7 @@ fn score_mergers(
     if !cfg.parallel_merger_scoring || mergers.len() < 2 {
         return mergers
             .iter()
-            .filter_map(|&m| score_merger(ctx, layer, fst, m, cfg, catalog))
+            .filter_map(|&m| score_merger(ctx, layer, fst, m, catalog))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -412,7 +407,7 @@ fn score_mergers(
                 let Some(&merger) = mergers.get(i) else {
                     break;
                 };
-                let score = score_merger(ctx, layer, fst, merger, cfg, catalog);
+                let score = score_merger(ctx, layer, fst, merger, catalog);
                 scored.lock().push((i, score));
             });
         }
@@ -637,41 +632,28 @@ fn attempt<I: Instrument>(
     // Connect each leaf to the destination with a minimum-cost path
     // (Algorithm 1, lines 9–10), then take the cheapest valid candidate.
     //
-    // Every leaf shares the one destination, so a single dst-rooted
-    // Dijkstra tree prices them all: links are undirected, so the tree's
-    // distance to a leaf's end node *is* the exact end → dst min-cost —
-    // the per-leaf exact version of the `bounds.rs` link-term lower
-    // bound. Candidates are ranked best-first by that completed total
-    // and the final path is materialized lazily (reversed tree walk)
-    // only for candidates actually attempted, so the common case
-    // extracts exactly one path instead of one per leaf. Under a delay
-    // SLA the per-leaf forward search is kept: equal-cost final paths
-    // can differ in hop count, which the delay model observes.
-    let dst_tree = if cfg.delay_constraint.is_none() {
-        Some(ctx.oracle_tree(flow.dst))
-    } else {
-        None
-    };
+    // Every leaf shares the one destination, so the dst-rooted oracle
+    // search prices them all: links are undirected, so its distance to
+    // a leaf's end node *is* the exact end → dst min-cost — the per-leaf
+    // exact version of the `bounds.rs` link-term lower bound. The search
+    // settles only as far as the leaves' end nodes. Candidates are
+    // ranked best-first by that completed total and the final path is
+    // materialized lazily (reversed tree walk) only for candidates
+    // actually attempted, so the common case extracts exactly one path
+    // instead of one per leaf. Under a delay SLA the per-leaf forward
+    // search is kept: equal-cost final paths can differ in hop count,
+    // which the delay model observes.
+    let dst_rooted = cfg.delay_constraint.is_none();
     let mut finals: Vec<(f64, usize, Option<Path>)> = Vec::new();
     for &leaf in &level {
         let end = tree.node(leaf).end_node;
-        match &dst_tree {
-            Some(dt) => {
-                let remaining = if end == flow.dst {
-                    Some(0.0)
-                } else {
-                    dt.dist_to(end)
-                };
-                if let Some(d) = remaining {
-                    finals.push((tree.node(leaf).cum_cost + d * flow.size, leaf, None));
-                }
+        if dst_rooted {
+            if let Some(d) = ctx.min_cost_dist(flow.dst, end) {
+                finals.push((tree.node(leaf).cum_cost + d * flow.size, leaf, None));
             }
-            None => {
-                if let Some(p) = ctx.min_cost_path(end, flow.dst) {
-                    let total = tree.node(leaf).cum_cost + p.price(net) * flow.size;
-                    finals.push((total, leaf, Some(p)));
-                }
-            }
+        } else if let Some(p) = ctx.min_cost_path(end, flow.dst) {
+            let total = tree.node(leaf).cum_cost + p.price(net) * flow.size;
+            finals.push((total, leaf, Some(p)));
         }
     }
     finals.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -685,17 +667,10 @@ fn attempt<I: Instrument>(
     for (_, leaf, eager_path) in finals {
         let final_path = match eager_path {
             Some(p) => p,
-            None => {
-                let end = tree.node(leaf).end_node;
-                if end == flow.dst {
-                    Path::trivial(end)
-                } else {
-                    match dst_tree.as_ref().and_then(|dt| dt.path_to(end)) {
-                        Some(p) => p.reversed(),
-                        None => continue,
-                    }
-                }
-            }
+            None => match ctx.min_cost_path(flow.dst, tree.node(leaf).end_node) {
+                Some(p) => p.reversed(),
+                None => continue,
+            },
         };
         let embedding = assemble(sfc, &tree, leaf, final_path)?;
         if let Some(dc) = dc {

@@ -385,13 +385,13 @@ pub(crate) fn oracle_min_cost_path(
     if from == to {
         return Some(Path::trivial(from));
     }
-    let (tree, hit) = oracle.tree_tracked(from, rate);
+    let (path, hit) = oracle.path(from, to, rate);
     if hit {
         *hits += 1;
     } else {
         *misses += 1;
     }
-    tree.path_to(to)
+    path
 }
 
 /// Static-capacity admission used by every oracle-backed solver.

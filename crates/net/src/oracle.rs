@@ -1,4 +1,5 @@
-//! Shared path oracle: memoized single-source Dijkstra trees.
+//! Shared path oracle: memoized, resumable single-source Dijkstra
+//! searches.
 //!
 //! Every solver in the workspace answers the same query shape over and
 //! over — "cheapest path from `v` over links that fit a flow of rate
@@ -6,10 +7,13 @@
 //! (`capacity + CAP_EPS >= rate`). For a fixed network the admitted link
 //! set depends only on which side of each distinct capacity value the
 //! rate falls, so rates collapse into a small number of **capacity
-//! classes** and one [`ShortestPathTree`] per `(source, class)` serves
-//! every query of that class. The [`PathOracle`] caches exactly those
-//! trees behind a `parking_lot` mutex, so one oracle instance can be
-//! shared by all runs (and threads) of a simulation instance.
+//! classes** and one search per `(source, class)` serves every query of
+//! that class. The [`PathOracle`] caches those searches as
+//! [`ResumableTree`]s behind a `parking_lot` mutex, so one oracle
+//! instance can be shared by all runs (and threads) of a simulation
+//! instance. A query settles a tree only until its target is settled;
+//! later queries resume it, and [`PathOracle::tree`] drains it. Answers
+//! are bit-identical to a complete [`ShortestPathTree`] build.
 //!
 //! Solvers that route on *residual* capacities (the RANV/MINV baselines
 //! reserve bandwidth as they go) cannot share trees across concurrent
@@ -27,7 +31,7 @@ use crate::graph::Network;
 use crate::ids::{LinkId, NodeId};
 use crate::path::Path;
 use crate::routing::csp::{larac_core, ConstrainedPath};
-use crate::routing::{ArcWeight, LinkFilter, RoutingScratch, ShortestPathTree};
+use crate::routing::{ArcWeight, LinkFilter, ResumableTree, RoutingScratch, ShortestPathTree};
 use crate::state::CAP_EPS;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,16 +41,24 @@ use std::sync::Arc;
 const DEFAULT_CAPACITY: usize = 1024;
 
 /// Counter snapshot of a [`PathOracle`] (see [`PathOracle::stats`]).
+///
+/// For price trees a miss is a query that *started* a tree, and a hit
+/// is a query served by an existing tree — possibly after growing it
+/// further. Weighted (LARAC) and session trees are built in full on
+/// their miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OracleStats {
-    /// Tree queries answered from the cache.
+    /// Queries served by an existing tree.
     pub hits: u64,
-    /// Tree queries that had to run Dijkstra.
+    /// Queries that started a tree.
     pub misses: u64,
     /// Trees dropped by the LRU bound.
     pub evictions: u64,
     /// Explicit invalidations (global flushes and session flushes).
     pub invalidations: u64,
+    /// Nodes settled across all price trees: the Dijkstra work the
+    /// price queries actually paid for.
+    pub settled: u64,
 }
 
 impl OracleStats {
@@ -63,14 +75,16 @@ impl OracleStats {
 
 /// LRU bookkeeping guarded by the oracle's mutex.
 ///
-/// The [`RoutingScratch`] lives here because tree builds happen while
-/// the mutex is held: every cache fill on every thread reuses one set
-/// of search buffers, allocation-free in the steady state.
+/// Price trees grow while the mutex is held, so concurrent queries on
+/// one tree resume a single search. The [`RoutingScratch`] serves the
+/// weighted tree builds, which also run under the mutex.
 struct TreeCache {
-    map: FxHashMap<(NodeId, usize), (Arc<ShortestPathTree>, u64)>,
+    /// Price trees, keyed by `(source, capacity class)`: each a search
+    /// settled only as far as the queries so far needed.
+    trees: FxHashMap<(NodeId, usize), (ResumableTree, u64)>,
     /// Weighted (delay / Lagrangian) trees for the LARAC bounded mode,
     /// keyed by `(source, capacity class, ArcWeight::cache_key())`.
-    /// Flushed together with `map` on every invalidation.
+    /// Flushed together with `trees` on every invalidation.
     wmap: FxHashMap<(NodeId, usize, u64), (Arc<ShortestPathTree>, u64)>,
     tick: u64,
     scratch: RoutingScratch,
@@ -84,8 +98,35 @@ struct TreeCache {
     down_nodes: Vec<bool>,
 }
 
-/// Memoized single-source Dijkstra trees over the static-capacity link
-/// filter, keyed by `(source, capacity class)`.
+impl TreeCache {
+    fn clear(&mut self) {
+        self.trees.clear();
+        self.wmap.clear();
+    }
+}
+
+/// Drops the least recently used entry of `map` when it holds `capacity`
+/// entries, returning whether one was evicted.
+fn evict_lru<K: Copy + Eq + std::hash::Hash, V>(
+    map: &mut FxHashMap<K, (V, u64)>,
+    capacity: usize,
+) -> bool {
+    if map.len() < capacity {
+        return false;
+    }
+    // `used` ticks are unique (the counter bumps on every cache
+    // access), so the min is unique and map iteration order cannot
+    // change the evicted victim.
+    // lint:allow(unordered-iter)
+    let victim = map
+        .iter()
+        .min_by_key(|(_, (_, used))| *used)
+        .map(|(k, _)| *k);
+    victim.is_some_and(|k| map.remove(&k).is_some())
+}
+
+/// Memoized single-source Dijkstra searches over the static-capacity
+/// link filter, keyed by `(source, capacity class)`.
 ///
 /// Thread-safe and intended to be shared (`&PathOracle` is `Send + Sync`):
 /// the cache sits behind a [`parking_lot::Mutex`] and the counters are
@@ -100,6 +141,7 @@ pub struct PathOracle<'n> {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
+    settled: AtomicU64,
 }
 
 impl<'n> PathOracle<'n> {
@@ -118,7 +160,7 @@ impl<'n> PathOracle<'n> {
             classes,
             capacity: capacity.max(1),
             cache: Mutex::new(TreeCache {
-                map: FxHashMap::default(),
+                trees: FxHashMap::default(),
                 wmap: FxHashMap::default(),
                 tick: 0,
                 scratch: RoutingScratch::new(),
@@ -129,6 +171,7 @@ impl<'n> PathOracle<'n> {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
         }
     }
 
@@ -145,39 +188,47 @@ impl<'n> PathOracle<'n> {
         self.classes.partition_point(|&c| c + CAP_EPS < rate)
     }
 
-    /// The shortest-path tree rooted at `source` over links admitting
-    /// `rate`, from the cache when possible.
-    pub fn tree(&self, source: NodeId, rate: f64) -> Arc<ShortestPathTree> {
-        self.tree_tracked(source, rate).0
+    /// The class's canonical admission threshold: every rate of the
+    /// class builds the bit-identical tree against it.
+    fn class_threshold(&self, class: usize) -> f64 {
+        self.classes.get(class).copied().unwrap_or(f64::INFINITY)
     }
 
-    /// Like [`Self::tree`], also reporting whether the query was a cache
-    /// hit — callers use this for per-solve hit/miss accounting.
-    pub fn tree_tracked(&self, source: NodeId, rate: f64) -> (Arc<ShortestPathTree>, bool) {
-        let class = self.rate_class(rate);
+    /// Settles the price tree of `(source, class of rate)` up to
+    /// `target` (to completion for `None`), starting it on a miss, and
+    /// answers `read` from it. Returns the answer and whether an
+    /// existing tree served the query.
+    fn query<R>(
+        &self,
+        source: NodeId,
+        rate: f64,
+        target: Option<NodeId>,
+        read: impl FnOnce(&ResumableTree) -> R,
+    ) -> (R, bool) {
+        let key = (source, self.rate_class(rate));
+        let threshold = self.class_threshold(key.1);
+        let net = self.net;
         let mut cache = self.cache.lock();
         cache.tick += 1;
         let tick = cache.tick;
-        if let Some((tree, last_used)) = cache.map.get_mut(&(source, class)) {
-            *last_used = tick;
-            let tree = Arc::clone(tree);
-            drop(cache);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (tree, true);
-        }
-        // Build with the class's canonical threshold so every rate of the
-        // class produces the bit-identical tree. Destructured so the
-        // filter can read the down flags while the scratch is borrowed
-        // mutably for the build.
-        let threshold = self.classes.get(class).copied().unwrap_or(f64::INFINITY);
-        let net = self.net;
+        // Destructured so the filter can read the down flags while the
+        // tree is borrowed mutably.
         let TreeCache {
-            map,
-            scratch,
+            trees,
             down_links,
             down_nodes,
             ..
         } = &mut *cache;
+        let hit = trees.contains_key(&key);
+        if !hit {
+            if evict_lru(trees, self.capacity) {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            trees.insert(key, (ResumableTree::new(net.node_count(), source), tick));
+        }
+        // lint:allow(expect) — invariant: present or inserted just above
+        let (tree, used) = trees.get_mut(&key).expect("tree entry present");
+        *used = tick;
         let filter = |l: LinkId| {
             if down_links[l.index()] {
                 return false;
@@ -188,27 +239,42 @@ impl<'n> PathOracle<'n> {
             }
             link.capacity >= threshold
         };
-        let tree = Arc::new(ShortestPathTree::build_in(
-            net, source, &filter, None, scratch,
-        ));
-        if map.len() >= self.capacity {
-            // `used` ticks are unique (the counter bumps on every cache
-            // access), so the min is unique and map iteration order
-            // cannot change the evicted victim.
-            // lint:allow(unordered-iter)
-            if let Some(&victim) = map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k)
-            {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        map.insert((source, class), (Arc::clone(&tree), tick));
+        let settled = tree.settle_until(net.snapshot(), &filter, target);
+        let answer = read(tree);
         drop(cache);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (tree, false)
+        self.settled.fetch_add(settled, Ordering::Relaxed);
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        (answer, hit)
+    }
+
+    /// Cheapest path `from → to` over links admitting `rate`, settling
+    /// the `from` tree only until `to` is settled. Also reports whether
+    /// an existing tree served the query — callers use this for
+    /// per-solve hit/miss accounting.
+    pub fn path(&self, from: NodeId, to: NodeId, rate: f64) -> (Option<Path>, bool) {
+        let net = self.net;
+        self.query(from, rate, Some(to), |t| t.path_to(net, to))
+    }
+
+    /// Price of the cheapest path `from → to` over links admitting
+    /// `rate`, with the hit flag of [`Self::path`]. Links are
+    /// undirected, so this is also the `to → from` price.
+    pub fn dist(&self, from: NodeId, to: NodeId, rate: f64) -> (Option<f64>, bool) {
+        self.query(from, rate, Some(to), |t| t.dist_to(to))
+    }
+
+    /// The complete shortest-path tree rooted at `source` over links
+    /// admitting `rate`: finishes the cached search and copies it out.
+    pub fn tree(&self, source: NodeId, rate: f64) -> Arc<ShortestPathTree> {
+        let net = self.net;
+        self.query(source, rate, None, |t| {
+            Arc::new(ShortestPathTree::from_resumable(net, t))
+        })
+        .0
     }
 
     /// Cheapest path `from → to` over links admitting `rate` (static
@@ -218,7 +284,7 @@ impl<'n> PathOracle<'n> {
         if from == to {
             return Some(Path::trivial(from));
         }
-        self.tree(from, rate).path_to(to)
+        self.path(from, to, rate).0
     }
 
     /// The shortest-path tree rooted at `source` under an explicit
@@ -249,7 +315,7 @@ impl<'n> PathOracle<'n> {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return tree;
         }
-        let threshold = self.classes.get(class).copied().unwrap_or(f64::INFINITY);
+        let threshold = self.class_threshold(class);
         let net = self.net;
         let TreeCache {
             wmap,
@@ -271,19 +337,8 @@ impl<'n> PathOracle<'n> {
         let tree = Arc::new(ShortestPathTree::build_weighted_in(
             net, source, &filter, None, scratch, weight,
         ));
-        if wmap.len() >= self.capacity {
-            // `used` ticks are unique (the counter bumps on every cache
-            // access), so the min is unique and map iteration order
-            // cannot change the evicted victim.
-            // lint:allow(unordered-iter)
-            if let Some(&victim) = wmap
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k)
-            {
-                wmap.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if evict_lru(wmap, self.capacity) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         wmap.insert(key, (Arc::clone(&tree), tick));
         drop(cache);
@@ -311,9 +366,11 @@ impl<'n> PathOracle<'n> {
         }
         larac_core(
             |w| {
-                let tree = self.weighted_tree(from, rate, w);
-                tree.path_to(to)
-                    .map(|p| ConstrainedPath::evaluate(self.net, p))
+                let path = match w {
+                    ArcWeight::Price => self.path(from, to, rate).0,
+                    _ => self.weighted_tree(from, rate, w).path_to(to),
+                };
+                path.map(|p| ConstrainedPath::evaluate(self.net, p))
             },
             max_delay_us,
         )
@@ -322,10 +379,7 @@ impl<'n> PathOracle<'n> {
 
     /// Flushes every cached tree (counted as one invalidation).
     pub fn invalidate(&self) {
-        let mut cache = self.cache.lock();
-        cache.map.clear();
-        cache.wmap.clear();
-        drop(cache);
+        self.cache.lock().clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -342,8 +396,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
-        cache.map.clear();
-        cache.wmap.clear();
+        cache.clear();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true
@@ -362,8 +415,7 @@ impl<'n> PathOracle<'n> {
             return false;
         }
         *flag = down;
-        cache.map.clear();
-        cache.wmap.clear();
+        cache.clear();
         drop(cache);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true
@@ -392,6 +444,7 @@ impl<'n> PathOracle<'n> {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
+            settled: self.settled.load(Ordering::Relaxed),
         }
     }
 
@@ -538,6 +591,31 @@ mod tests {
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
         assert!(after.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn near_target_query_settles_a_prefix_and_tree_finishes_it() {
+        // A 12-node line 0-1-…-11 plus an isolated node 12.
+        let mut g = Network::new();
+        g.add_nodes(13);
+        for v in 0..11 {
+            g.add_link(NodeId(v), NodeId(v + 1), 1.0, 10.0).unwrap();
+        }
+        let oracle = PathOracle::new(&g);
+        let (d, hit) = oracle.dist(NodeId(0), NodeId(1), 1.0);
+        assert_eq!((d, hit), (Some(1.0), false));
+        let near = oracle.stats().settled;
+        assert!(near < g.node_count() as u64, "settled {near}");
+        assert_eq!(near, 2);
+        // The next query resumes the same search: a hit.
+        let (p, hit) = oracle.path(NodeId(0), NodeId(5), 1.0);
+        assert!(hit);
+        assert_eq!(p.unwrap().links().len(), 5);
+        let tree = oracle.tree(NodeId(0), 1.0);
+        assert_eq!(oracle.stats().settled, 12, "every reachable node");
+        assert_eq!(tree.dist_to(NodeId(11)), Some(11.0));
+        assert_eq!(tree.dist_to(NodeId(12)), None);
+        assert_eq!((oracle.stats().hits, oracle.stats().misses), (2, 1));
     }
 
     #[test]

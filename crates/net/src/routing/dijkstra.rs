@@ -13,6 +13,7 @@
 //! searches allocation-free. Entry points without a scratch parameter
 //! borrow a per-thread scratch transparently.
 
+use super::resumable::ResumableTree;
 use super::scratch::{with_thread_scratch, RoutingScratch};
 use super::{bucket, heap_fallback, quant, LinkFilter};
 use crate::graph::Network;
@@ -282,6 +283,24 @@ impl ShortestPathTree {
             prev.push(scratch.prev_of(NodeId(v)));
         }
         ShortestPathTree { source, dist, prev }
+    }
+
+    /// The finished tree of a complete [`ResumableTree`] search.
+    pub(crate) fn from_resumable(net: &Network, search: &ResumableTree) -> Self {
+        debug_assert!(search.is_complete());
+        let n = net.node_count();
+        let mut dist = Vec::with_capacity(n);
+        let mut prev = Vec::with_capacity(n);
+        for v in 0..n as u32 {
+            let v = NodeId(v);
+            dist.push(search.dist_to(v).unwrap_or(f64::INFINITY));
+            prev.push(search.parent(net, v));
+        }
+        ShortestPathTree {
+            source: search.source(),
+            dist,
+            prev,
+        }
     }
 
     /// The tree's source node.

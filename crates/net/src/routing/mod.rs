@@ -15,6 +15,9 @@
 //! * [`csp`] — delay-constrained cheapest paths: the LARAC Lagrangian
 //!   relaxation plus an exact pareto-label reference, powering the
 //!   QoS-constrained oracle mode.
+//! * [`resumable`] — the suspendable price search behind the
+//!   [`crate::PathOracle`]'s cached trees: queries settle nodes only up
+//!   to their target, bit-identical to a full build.
 //!
 //! The weighted kernels run on a monotone bucket queue ([`bucket`])
 //! whenever the active weight axis quantizes losslessly onto `u32`
@@ -30,6 +33,7 @@ pub mod disjoint;
 pub(crate) mod heap_fallback;
 pub mod ksp;
 pub mod quant;
+pub mod resumable;
 pub mod scratch;
 pub mod steiner;
 pub mod widest;
@@ -46,6 +50,7 @@ pub use dijkstra::{
 pub use disjoint::{disjoint_path_pair, DisjointPair};
 pub use ksp::k_shortest_paths;
 pub use quant::QuantPlan;
+pub use resumable::ResumableTree;
 pub use scratch::{with_thread_scratch, RoutingScratch};
 pub use steiner::{multicast_tree, MulticastTree};
 pub use widest::{widest_path, widest_path_in, widest_residual_path};

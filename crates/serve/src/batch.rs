@@ -709,8 +709,8 @@ fn admit_embed(
     if flow.src != flow.dst
         && shared
             .oracle
-            .tree(flow.src, flow.rate)
-            .path_to(flow.dst)
+            .dist(flow.src, flow.dst, flow.rate)
+            .0
             .is_none()
     {
         engine.count_admission_rejection();
